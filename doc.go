@@ -425,6 +425,21 @@
 // rows into two flat backing arrays (topology.Graph.Compact), dropping
 // the per-edge map that dominated memory at 100k nodes.
 //
+// Construction keeps an O(N²) term out of its own path: every peer that
+// finds a domain records its hop distance to that domain's summary peer
+// (§4.1; the closer-summary-peer comparison reads it), and a radius-6
+// BFS distance map would span most of a power-law overlay on every
+// join. Transport.HopsBetween asks for the one pair instead
+// (topology.Graph.HopsBetween): a BFS over the compacted adjacency runs
+// that returns at the level reaching the target, from a pooled,
+// epoch-stamped visited slice and a FIFO sized once to the node count,
+// so it allocates nothing (CI benchgates BenchmarkHopsBetween at 0
+// allocs/op) and is safe from region workers and dispatchers at once. A
+// query costs the ball around the joining peer out to its summary peer
+// — the find walk stops at the first domain it meets, so that is a few
+// hops — and BENCH_scale.json splits every run's wall clock into
+// construct_s, waves_s and report_s, next to the machine it ran on.
+//
 // In sharded mode p2p.Network routes every After and delivery to the
 // owning region's engine and shards its message/byte accounting into
 // per-region books, merged on read. Two determinism caveats are part of

@@ -177,7 +177,7 @@ func (s *System) findDomain(p *Peer) {
 // closer-summary-peer comparison; the paper notes latency or any other
 // metric works).
 func (s *System) hopsTo(a, b p2p.NodeID) int {
-	if d, ok := s.net.HopsWithin(a, 6)[b]; ok {
+	if d := s.net.HopsBetween(a, b, 6); d >= 0 {
 		return d
 	}
 	return 7

@@ -39,9 +39,15 @@ type ScaleRunResult struct {
 	// (dynamic windows plus frontier-proven speculative overrun). All
 	// modes must reproduce the same ReportHash.
 	Mode string `json:"mode"`
-	// WallSec is the end-to-end wall-clock of construct + waves
-	// (graph generation and setup excluded).
-	WallSec float64 `json:"wall_sec"`
+	// WallSec is the end-to-end wall-clock of the run, the sum of its
+	// three phases (graph generation and setup excluded): ConstructSec
+	// (summary-peer election, §4.1 construction, settle), WavesSec (the
+	// three modification/reconciliation waves) and ReportSec (report
+	// hash and counter collection).
+	WallSec      float64 `json:"wall_sec"`
+	ConstructSec float64 `json:"construct_s"`
+	WavesSec     float64 `json:"waves_s"`
+	ReportSec    float64 `json:"report_s"`
 	// Speedup is WallSec(regions=1) / WallSec at this region count.
 	Speedup float64 `json:"speedup"`
 	// Events is the number of discrete events the kernel executed.
@@ -78,8 +84,17 @@ type ScaleRunResult struct {
 
 // ScaleResult is the machine-readable outcome (BENCH_scale.json).
 type ScaleResult struct {
-	Seed int64            `json:"seed"`
-	Runs []ScaleRunResult `json:"runs"`
+	Seed    int64            `json:"seed"`
+	Machine ScaleMachine     `json:"machine"`
+	Runs    []ScaleRunResult `json:"runs"`
+}
+
+// ScaleMachine records where a sweep ran: wall-clock columns compare
+// only between sweeps on the same machine.
+type ScaleMachine struct {
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
 }
 
 // scaleDomains picks the domain count for an overlay size: one summary
@@ -151,6 +166,7 @@ func runScalePoint(cfg Config, g *topology.Graph, peers, regions int, mode scale
 		return out, err
 	}
 	net.Settle()
+	constructed := time.Now()
 	sps := make(map[p2p.NodeID]bool, out.Domains)
 	for _, sp := range sys.SummaryPeers() {
 		sps[sp] = true
@@ -168,7 +184,7 @@ func runScalePoint(cfg Config, g *topology.Graph, peers, regions int, mode scale
 		sys.MarkModifiedAll(ids)
 		net.Settle()
 	}
-	out.WallSec = time.Since(start).Seconds()
+	waved := time.Now()
 
 	out.Events = net.Sharded().Executed()
 	out.Msgs = net.Counter().Total()
@@ -182,6 +198,10 @@ func runScalePoint(cfg Config, g *topology.Graph, peers, regions int, mode scale
 		out.SpecCommitted = ks.SpecCommitted
 		out.Violations = ks.CausalityViolations
 	}
+	out.ConstructSec = constructed.Sub(start).Seconds()
+	out.WavesSec = waved.Sub(constructed).Seconds()
+	out.ReportSec = time.Since(waved).Seconds()
+	out.WallSec = out.ConstructSec + out.WavesSec + out.ReportSec
 
 	runtime.GC()
 	var ms runtime.MemStats
@@ -215,7 +235,11 @@ func ScaleExperiment(cfg Config) (*stats.Table, *ScaleResult, error) {
 		}
 		return scaleModes
 	}
-	res := &ScaleResult{Seed: cfg.Seed}
+	res := &ScaleResult{Seed: cfg.Seed, Machine: ScaleMachine{
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
+	}}
 	var series []*stats.Series
 	colOf := make(map[string]*stats.Series)
 	for _, r := range regionCounts {

@@ -168,10 +168,17 @@ func TestTransportParity(t *testing.T) {
 		t.Errorf("walk paths differ: %d vs %d nodes", len(wn.Path), len(wc.Path))
 	}
 
-	dn := net.HopsWithin(0, 4)
-	dc := ct.HopsWithin(0, 4)
-	if len(dn) != len(dc) {
-		t.Errorf("HopsWithin: network %d nodes, channel %d", len(dn), len(dc))
+	for a := NodeID(0); a < 200; a += 17 {
+		within := net.HopsWithin(a, 4)
+		for b := NodeID(0); b < 200; b += 7 {
+			want, ok := within[b]
+			if !ok {
+				want = -1
+			}
+			if dn, dc := net.HopsBetween(a, b, 4), ct.HopsBetween(a, b, 4); dn != want || dc != want {
+				t.Errorf("HopsBetween(%d, %d, 4): network %d, channel %d, HopsWithin %d", a, b, dn, dc, want)
+			}
+		}
 	}
 }
 

@@ -173,7 +173,14 @@ func (n *Network) Neighbors(id NodeID) []NodeID {
 // Degree returns the node's static overlay degree.
 func (n *Network) Degree(id NodeID) int { return n.graph.Degree(int(id)) }
 
-// HopsWithin returns BFS hop distances from src, bounded by radius.
+// HopsBetween returns the hop distance from a to b, or -1 beyond radius.
+func (n *Network) HopsBetween(a, b NodeID, radius int) int {
+	return n.graph.HopsBetween(int(a), int(b), radius)
+}
+
+// HopsWithin returns BFS hop distances from src, bounded by radius. It is
+// not on the protocol path — core asks pairwise through HopsBetween — and
+// is kept for callers that want the whole distance map.
 func (n *Network) HopsWithin(src NodeID, radius int) map[NodeID]int {
 	dist := n.graph.BFSWithin(int(src), radius)
 	out := make(map[NodeID]int, len(dist))

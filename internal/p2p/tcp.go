@@ -1265,14 +1265,9 @@ func (t *TCPTransport) SetLinkFilter(fn LinkFilter) { t.gate.set(fn) }
 // Degree returns the node's static overlay degree.
 func (t *TCPTransport) Degree(id NodeID) int { return t.graph.Degree(int(id)) }
 
-// HopsWithin returns BFS hop distances from src, bounded by radius.
-func (t *TCPTransport) HopsWithin(src NodeID, radius int) map[NodeID]int {
-	dist := t.graph.BFSWithin(int(src), radius)
-	out := make(map[NodeID]int, len(dist))
-	for v, d := range dist {
-		out[NodeID(v)] = d
-	}
-	return out
+// HopsBetween returns the hop distance from a to b, or -1 beyond radius.
+func (t *TCPTransport) HopsBetween(a, b NodeID, radius int) int {
+	return t.graph.HopsBetween(int(a), int(b), radius)
 }
 
 // charge accounts n payload-less transmissions (walks and floods) under

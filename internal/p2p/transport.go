@@ -35,9 +35,12 @@ type Transport interface {
 	// the selection criterion of the §4.1 selective walk and of the
 	// degree-based summary-peer election.
 	Degree(id NodeID) int
-	// HopsWithin returns BFS hop distances from src over the static
-	// topology, bounded by radius (nodes farther than radius are absent).
-	HopsWithin(src NodeID, radius int) map[NodeID]int
+	// HopsBetween returns the hop distance from a to b over the static
+	// topology, or -1 when b is more than radius hops away. It is a
+	// pairwise query (topology.Graph.HopsBetween): the BFS stops at the
+	// level that reaches b, costing the ball around a up to that distance
+	// rather than every node within radius, and allocates nothing.
+	HopsBetween(a, b NodeID, radius int) int
 
 	// Liveness exposes the transport's membership view — the single truth
 	// behind Online/SetOnline. In-memory transports hold one ground-truth

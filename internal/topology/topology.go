@@ -15,6 +15,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 )
 
 // Graph is an undirected overlay with per-edge latencies. Latencies are
@@ -220,6 +221,62 @@ func (g *Graph) BFSWithin(src, hops int) map[int]int {
 		frontier = next
 	}
 	return dist
+}
+
+// hopsScratch is HopsBetween's working state: seen[v] == epoch marks v
+// visited by the current query, so a query starts with one increment
+// instead of clearing an N-sized slice, and queue is the BFS FIFO, sized
+// once to the node count it can never exceed. Pooled so concurrent
+// callers (region workers, channel and TCP dispatchers) each get their
+// own without allocating.
+type hopsScratch struct {
+	seen  []uint32
+	epoch uint32
+	queue []int
+}
+
+var hopsPool = sync.Pool{New: func() any { return new(hopsScratch) }}
+
+// HopsBetween returns the hop distance from a to b, or -1 when b is more
+// than radius hops away (or unreachable). It agrees with
+// BFSWithin(a, radius)[b] but answers only the pair it is asked about:
+// the BFS stops at the level that discovers b, allocates nothing in
+// steady state and never materializes a distance map, which at radius 6
+// spans most of a power-law overlay. Safe for concurrent use.
+func (g *Graph) HopsBetween(a, b, radius int) int {
+	if a == b {
+		return 0
+	}
+	st := hopsPool.Get().(*hopsScratch)
+	defer hopsPool.Put(st)
+	if len(st.seen) < g.n {
+		st.seen = make([]uint32, g.n)
+		st.queue = make([]int, 0, g.n)
+		st.epoch = 0
+	}
+	st.epoch++
+	if st.epoch == 0 { // wrapped: stale stamps could alias the new epoch
+		clear(st.seen)
+		st.epoch = 1
+	}
+	seen, epoch := st.seen, st.epoch
+	seen[a] = epoch
+	queue := append(st.queue[:0], a)
+	for h, head := 1, 0; h <= radius && head < len(queue); h++ {
+		for end := len(queue); head < end; head++ {
+			for _, v := range g.adj[queue[head]] {
+				if seen[v] == epoch {
+					continue
+				}
+				if v == b {
+					return h
+				}
+				seen[v] = epoch
+				queue = append(queue, v)
+			}
+		}
+	}
+	return -1
 }
 
 // DisjointStars builds `clusters` disconnected star components of `size`

@@ -3,6 +3,7 @@ package topology
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -451,3 +452,110 @@ func TestRegionLatencyBoundsAsymmetric(t *testing.T) {
 		t.Errorf("isolated region bounds = out %v in %v, want +Inf", out[2], in[2])
 	}
 }
+
+// hopsOracle is HopsBetween's reference answer: BFSWithin's distance, or
+// -1 when b lies outside the radius.
+func hopsOracle(g *Graph, a, b, radius int) int {
+	if d, ok := g.BFSWithin(a, radius)[b]; ok {
+		return d
+	}
+	return -1
+}
+
+func TestHopsBetweenMatchesBFSWithin(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	ba, err := BarabasiAlbert(400, 2, nil, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wax, err := Waxman(150, 0.2, 0.15, nil, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stars, _ := DisjointStars(4, 6, 0.05)
+	// A path graph that never went through Compact: per-node runs still
+	// carry their append slack.
+	path := NewGraph(12)
+	for i := 0; i+1 < path.Len(); i++ {
+		if err := path.AddEdge(i, i+1, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	graphs := map[string]*Graph{"ba": ba, "waxman": wax, "stars": stars, "uncompacted-path": path}
+	for name, g := range graphs {
+		var pairs [][2]int
+		for i := 0; i < 60; i++ {
+			pairs = append(pairs, [2]int{rng.Intn(g.Len()), rng.Intn(g.Len())})
+		}
+		for _, a := range []int{0, g.Len() - 1, rng.Intn(g.Len())} {
+			pairs = append(pairs, [2]int{a, a})
+			for _, v := range g.Neighbors(a) {
+				pairs = append(pairs, [2]int{a, v})
+			}
+		}
+		for _, p := range pairs {
+			for radius := 0; radius <= 7; radius++ {
+				if got, want := g.HopsBetween(p[0], p[1], radius), hopsOracle(g, p[0], p[1], radius); got != want {
+					t.Fatalf("%s: HopsBetween(%d, %d, %d) = %d, BFSWithin says %d", name, p[0], p[1], radius, got, want)
+				}
+			}
+		}
+	}
+	// Cross-star pairs are disconnected at any radius.
+	if d := stars.HopsBetween(1, 7, stars.Len()); d != -1 {
+		t.Errorf("disconnected pair: HopsBetween = %d, want -1", d)
+	}
+	if d := path.HopsBetween(0, 11, 11); d != 11 {
+		t.Errorf("path ends: HopsBetween = %d, want 11", d)
+	}
+}
+
+// TestHopsBetweenConcurrent shares one graph among goroutines so the race
+// detector covers the pooled working state.
+func TestHopsBetweenConcurrent(t *testing.T) {
+	g, err := BarabasiAlbert(2000, 2, nil, rand.New(rand.NewSource(8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, queries = 8, 200
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < queries; i++ {
+				a, b, r := rng.Intn(g.Len()), rng.Intn(g.Len()), rng.Intn(8)
+				if got, want := g.HopsBetween(a, b, r), hopsOracle(g, a, b, r); got != want {
+					t.Errorf("HopsBetween(%d, %d, %d) = %d, want %d", a, b, r, got, want)
+					return
+				}
+			}
+		}(int64(w))
+	}
+	wg.Wait()
+}
+
+// BenchmarkHopsBetween is the construction-path gate: one radius-6
+// distance query between random peers of a 100k-node power-law overlay,
+// the call every joining peer makes. It must not allocate.
+func BenchmarkHopsBetween(b *testing.B) {
+	g, err := BarabasiAlbert(100000, 2, nil, rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	pairs := make([][2]int, 1024)
+	for i := range pairs {
+		pairs[i] = [2]int{rng.Intn(g.Len()), rng.Intn(g.Len())}
+	}
+	g.HopsBetween(0, 1, 6) // size the pooled state outside the timed loop
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := pairs[i%len(pairs)]
+		hopsSink += g.HopsBetween(p[0], p[1], 6)
+	}
+}
+
+var hopsSink int
