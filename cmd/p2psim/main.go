@@ -44,7 +44,7 @@
 //	              wall-clock knob; results stay bit-identical
 //	-speculate    let regions execute past their committed window while a
 //	              frontier proof shows no cross-region event can land below
-//	              their clock (safe overrun — no rollbacks, bit-identical)
+//	              their clock (frontier-proven, so bit-identical)
 //	-v            print the sharded kernel's window/speculation counters
 //	              after the run (regions > 1)
 //	-seed         random seed of the first replica
@@ -181,8 +181,8 @@ func printDetail(o options, r *runResult, modeName string) {
 		k := r.kernel
 		fmt.Printf("\nsharded kernel (%d regions, %s windows, speculate=%v):\n",
 			o.regions, windowName(o.window), o.speculate)
-		fmt.Printf("  windows=%d dynamic-extensions=%d speculative-committed=%d rollbacks=%d replays=%d causality-violations=%d\n",
-			k.Windows, k.DynamicExtensions, k.SpecCommitted, k.Rollbacks, k.ReplayEvents, k.CausalityViolations)
+		fmt.Printf("  windows=%d dynamic-extensions=%d speculative-committed=%d causality-violations=%d\n",
+			k.Windows, k.DynamicExtensions, k.SpecCommitted, k.CausalityViolations)
 	}
 }
 

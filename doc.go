@@ -94,8 +94,8 @@
 // Registration buys two things. First, byte accounting becomes exact on
 // every transport: a Send whose payload is serializable is charged the
 // real encoded frame length (identical across Network, ChannelTransport
-// and TCPTransport), and only unregistered payloads fall back to the
-// Sizer estimate — so the paper's §6 byte figures are measured, not
+// and TCPTransport), and only unregistered payloads fall back to a flat
+// p2p.BaseMessageBytes — so the paper's §6 byte figures are measured, not
 // modeled. Second, the TCP transport can carry the message between
 // processes: frames for remote nodes cross a persistent per-peer
 // connection (length-prefixed units, one writer goroutine per peer, a
@@ -386,34 +386,21 @@
 //     conservative, no rollback.
 //
 //   - Speculative overrun: a region that exhausts its committed window
-//     keeps executing while a proof holds. The safe tier — the only
-//     one the protocol stack enables — reads the other regions' live
-//     frontier promises (monotone atomics published before every
+//     keeps executing while a proof holds. It reads the other regions'
+//     live frontier promises (monotone atomics published before every
 //     event) and every inbox's staged-arrival minimum, and commits an
 //     event only when nothing anywhere could land below it; commits
-//     are final, no journal. One arrival class escapes that proof —
-//     the cascade of the region's own in-window sends, which land in
-//     inboxes it already read — so each region also tracks a
+//     are final, with nothing to undo. One arrival class escapes that
+//     proof — the cascade of the region's own in-window sends, which
+//     land in inboxes it already read — so each region also tracks a
 //     self-echo cap (the minimum over its own staged sends of arrival
 //     plus the target's cheapest outgoing link) and never overruns
-//     past it in either tier. The optimistic tier (sim.SpecOptions with
-//     a RegionState client whose state can rewind — the raw-kernel
-//     tests and p2p.Network.BookState) runs past the proof into a
-//     journal: pops are recorded with counters snapshotted at entry,
-//     and at the barrier a straggler (a staged arrival below the
-//     region's speculative clock) triggers rollback — journal events
-//     re-queued at their original (time, seq, id), speculation-born
-//     events recycled for identical re-creation, the region's
-//     spec-tagged staged sends purged from every inbox, counters and
-//     clock restored, RegionState.Rollback applied — then replay
-//     re-executes them deterministically. Whether a rollback happens
-//     is wall-clock dependent; the replayed outcome is not.
+//     past it.
 //
-// core.System state cannot rewind, so the full protocol stack only
-// ever uses fixed/dynamic windows and the safe overrun tier — all
-// three pure wall-clock knobs with bit-identical results
-// (internal/sim/spec.go carries the frontier memory-model proof, and
-// fuzz + straggler-rollback tests pin the optimistic tier).
+// All three are pure wall-clock knobs with results bit-identical to the
+// sequential engine (internal/sim/spec.go carries the frontier
+// memory-model proof; a fuzz over every mode combination and the
+// self-echo regression test pin it).
 //
 // Three engine-level costs were flattened for that scale: event structs
 // are pooled per engine (a freelist reuses fired events, so the steady
@@ -565,16 +552,6 @@
 //	                           contract-bending protocol paths may stage
 //	                           remotely), reloaded each overrun iteration
 //	                           and reset to +Inf at the barrier drain.
-//	sim regionRun journal      NO lock: the speculation journal, counter
-//	                           snapshots and specActive flag are written
-//	                           by the owning region's worker during a
-//	                           window and consumed by the coordinator at
-//	                           the barrier (the WaitGroup barrier orders
-//	                           the handoff).
-//	p2p regionBook commit-buf  under regionBook.mu like the live ledgers:
-//	                           the snapshot clones taken by BookState
-//	                           (Snapshot/Rollback/Commit) for optimistic
-//	                           runs whose driver state can rewind.
 //	p2p regionBook.mu          one mutex per region in sharded-Network
 //	                           mode: the region's message/byte counters
 //	                           and message-ID allocation. Counter() and

@@ -260,16 +260,6 @@ type LocalsumPayload struct {
 // each summary").
 const SummaryNodeBytes = 512
 
-// WireSize charges a localsum message for the local summary it carries
-// (the §6.1.1 estimate; the wire codec reports exact encoded sizes when
-// registered).
-func (p LocalsumPayload) WireSize() int {
-	if p.Tree == nil {
-		return 0
-	}
-	return SummaryNodeBytes * p.Tree.NodeCount()
-}
-
 // PushPayload carries a §4.2.1 freshness notification.
 type PushPayload struct {
 	// V is the pushed freshness value.
@@ -299,17 +289,6 @@ type ReconcilePayload struct {
 	// for the next hop (Config.GossipPiggyback); each ring hop rebuilds
 	// it. Nil when piggybacking is off.
 	Gossip *GossipTail
-}
-
-// WireSize charges a reconciliation token for the in-flight new global
-// summary plus the ring bookkeeping (the §6.1.1 estimate; the wire codec
-// reports exact encoded sizes when registered).
-func (p ReconcilePayload) WireSize() int {
-	size := 8 * (len(p.Remaining) + len(p.Merged))
-	if p.NewGS != nil {
-		size += SummaryNodeBytes * p.NewGS.NodeCount()
-	}
-	return size
 }
 
 // Stats aggregates protocol-level events.

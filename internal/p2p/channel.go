@@ -330,9 +330,9 @@ func (t *ChannelTransport) charge(typ string, n int64) {
 // the scaled link latency and hands the message to the dispatcher of the
 // destination's group. Lossy links (LossRate > 0) may swallow it silently
 // after counting. Messages whose payload is serializable (nil, or with a
-// registered wire codec) are charged their real encoded frame length; the
-// Sizer estimate remains the fallback, so in-memory and TCP runs report
-// comparable byte counts.
+// registered wire codec) are charged their real encoded frame length, so
+// in-memory and TCP runs report comparable byte counts; anything else costs
+// BaseMessageBytes.
 func (t *ChannelTransport) Send(msg *Message) {
 	if msg.To < 0 || int(msg.To) >= t.graph.Len() {
 		panic(fmt.Sprintf("p2p: send to out-of-range node %d", msg.To))

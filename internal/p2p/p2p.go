@@ -38,15 +38,9 @@ type Message struct {
 // Handler consumes messages delivered to a node.
 type Handler func(msg *Message)
 
-// Sizer is implemented by payloads that know their wire size; the network
-// charges them to the byte counters (the paper's §6.1.1 storage model sets
-// the unit: ~512 bytes per summary node).
-type Sizer interface {
-	WireSize() int
-}
-
-// BaseMessageBytes is the accounted size of a payload-less protocol
-// message (headers, ids, freshness values).
+// BaseMessageBytes is the accounted size of a transmission sent without a
+// frame: walk/flood traversal charges and payloads with no registered wire
+// codec.
 const BaseMessageBytes = 64
 
 // Network couples a topology with the event engine and tracks the message
@@ -118,8 +112,8 @@ func (n *Network) Counter() *stats.Counter {
 }
 
 // Bytes exposes the per-type traffic volume counters (merged on read in
-// sharded mode, like Counter). Payloads implementing Sizer are charged
-// their wire size; everything else costs BaseMessageBytes.
+// sharded mode, like Counter). Serializable messages are charged their
+// encoded frame length; everything else costs BaseMessageBytes.
 func (n *Network) Bytes() *stats.Counter {
 	if n.books == nil {
 		return n.bytes
@@ -262,8 +256,8 @@ func (n *Network) charge(typ string, k int64) {
 // msg.Type. Messages to offline or handler-less nodes are counted as sent
 // (the bytes hit the wire) but trigger Drop instead of a handler. Messages
 // whose payload is serializable (nil, or with a registered wire codec) are
-// charged their real encoded frame length; the Sizer estimate remains the
-// fallback, so discrete-event and TCP runs report comparable byte counts.
+// charged their real encoded frame length, so discrete-event and TCP runs
+// report comparable byte counts; anything else costs BaseMessageBytes.
 func (n *Network) Send(msg *Message) {
 	if msg.To < 0 || int(msg.To) >= n.graph.Len() {
 		panic(fmt.Sprintf("p2p: send to out-of-range node %d", msg.To))

@@ -276,16 +276,12 @@ func TestQuickWalkNoRevisit(t *testing.T) {
 	}
 }
 
-type sizedPayload struct{ n int }
-
-func (s sizedPayload) WireSize() int { return s.n }
-
 func TestByteAccounting(t *testing.T) {
 	e := sim.New()
 	net := NewNetwork(e, lineGraph(t, 3), 1)
 	net.SetHandler(1, func(*Message) {})
 	net.SendNew("plain", 0, 1, 0, nil)
-	net.SendNew("sized", 0, 1, 0, sizedPayload{n: 1000})
+	net.SendNew("unregistered", 0, 1, 0, struct{ n int }{1000})
 	e.Run()
 	// A payload-less message is serializable without a codec: it is
 	// charged its real encoded frame length.
@@ -296,12 +292,12 @@ func TestByteAccounting(t *testing.T) {
 	if got := net.Bytes().Get("plain"); got != int64(len(frame)) {
 		t.Errorf("plain bytes = %d, want frame length %d", got, len(frame))
 	}
-	// A payload without a registered codec falls back to the Sizer
-	// estimate on top of the base message cost.
-	if got := net.Bytes().Get("sized"); got != BaseMessageBytes+1000 {
-		t.Errorf("sized bytes = %d, want %d", got, BaseMessageBytes+1000)
+	// A payload without a registered codec is charged the flat base
+	// message cost.
+	if got := net.Bytes().Get("unregistered"); got != BaseMessageBytes {
+		t.Errorf("unregistered bytes = %d, want %d", got, BaseMessageBytes)
 	}
-	if want := int64(len(frame)) + BaseMessageBytes + 1000; net.Bytes().Total() != want {
+	if want := int64(len(frame)) + BaseMessageBytes; net.Bytes().Total() != want {
 		t.Errorf("total bytes = %d, want %d", net.Bytes().Total(), want)
 	}
 }

@@ -48,12 +48,6 @@ type regionBook struct {
 	counter *stats.Counter
 	bytes   *stats.Counter
 	nextMsg uint64
-	// Commit-buffer for the kernel's optimistic speculation (BookState):
-	// Snapshot clones the live ledgers here, Rollback swaps them back,
-	// Commit discards them. nil outside an optimistic window.
-	snapCounter *stats.Counter
-	snapBytes   *stats.Counter
-	snapNextMsg uint64
 }
 
 // NewShardedNetwork builds a Network whose events execute on a sharded
@@ -146,13 +140,12 @@ func (n *Network) SetWindowMode(m sim.WindowMode) {
 // SetSpeculation enables frontier-proven speculative overrun on the
 // sharded kernel: regions keep executing past their committed window
 // while they can prove no cross-region event can land below their
-// clock. The protocol stack's summary state cannot rewind, so this
-// never enables the kernel's optimistic (journaled) tier — results stay
-// bit-identical to the sequential engine by construction. A no-op on a
-// sequential Network or with on == false; configure before traffic.
+// clock, so results stay bit-identical to the sequential engine by
+// construction. A no-op on a sequential Network or with on == false;
+// configure before traffic.
 func (n *Network) SetSpeculation(on bool) {
 	if n.shard != nil && on {
-		n.shard.Speculate(sim.SpecOptions{})
+		n.shard.Speculate()
 	}
 }
 
@@ -163,45 +156,6 @@ func (n *Network) KernelStats() (sim.ShardedStats, bool) {
 		return sim.ShardedStats{}, false
 	}
 	return n.shard.Stats(), true
-}
-
-// BookState adapts the per-region traffic ledgers to sim.RegionState so
-// a kernel-level driver whose own state can rewind may run optimistic
-// speculation with the books staying consistent: message counts, byte
-// tallies and the region's message-id counter all roll back with the
-// journal, so replayed sends are charged once and re-assigned the same
-// ids. The full protocol stack does NOT install this (core's summary
-// state is not rewindable); it exists for tests and rewindable clients
-// driving the Network directly.
-func (n *Network) BookState() sim.RegionState { return bookState{n} }
-
-type bookState struct{ n *Network }
-
-// Snapshot clones region r's ledgers into the commit-buffer.
-func (b bookState) Snapshot(r int) {
-	bk := &b.n.books[r]
-	bk.mu.Lock()
-	bk.snapCounter = bk.counter.Clone()
-	bk.snapBytes = bk.bytes.Clone()
-	bk.snapNextMsg = bk.nextMsg
-	bk.mu.Unlock()
-}
-
-// Rollback restores region r's ledgers from the commit-buffer.
-func (b bookState) Rollback(r int) {
-	bk := &b.n.books[r]
-	bk.mu.Lock()
-	bk.counter, bk.bytes, bk.nextMsg = bk.snapCounter, bk.snapBytes, bk.snapNextMsg
-	bk.snapCounter, bk.snapBytes = nil, nil
-	bk.mu.Unlock()
-}
-
-// Commit discards region r's commit-buffer; the live ledgers stand.
-func (b bookState) Commit(r int) {
-	bk := &b.n.books[r]
-	bk.mu.Lock()
-	bk.snapCounter, bk.snapBytes = nil, nil
-	bk.mu.Unlock()
 }
 
 // lookaheadFor computes the conservative window width for a partition:

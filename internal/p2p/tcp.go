@@ -196,8 +196,9 @@ type WireStats struct {
 	// pass through the same encode/decode pipeline.
 	LocalFrames, LocalBytes int64
 	// ChargedMsgs and ChargedBytes count transmissions accounted without
-	// a frame: walk/flood traversal charges and Sizer-fallback payloads
-	// (no registered codec). The byte-accounting identity is therefore
+	// a frame: walk/flood traversal charges and payloads with no
+	// registered codec, each at BaseMessageBytes. The byte-accounting
+	// identity is therefore
 	// Bytes().Total() == SentBytes + LocalBytes + ChargedBytes.
 	ChargedMsgs, ChargedBytes int64
 }
@@ -1300,10 +1301,10 @@ func (t *TCPTransport) chargeGroupOf(msg *Message) int {
 // codec, so local and remote delivery share one serialization pipeline),
 // frames for remote nodes ride the peer connection's writer goroutine. A
 // message whose payload has no registered codec can only be delivered
-// locally (shared-memory fallback, Sizer accounting); sending one to a
-// remote node counts it as sent and runs the drop callback. Messages to
-// unreachable processes (dead connections, failed dials) are likewise
-// counted and dropped — the §4.3 failure-detection path.
+// locally (shared-memory fallback, BaseMessageBytes accounting); sending
+// one to a remote node counts it as sent and runs the drop callback.
+// Messages to unreachable processes (dead connections, failed dials) are
+// likewise counted and dropped — the §4.3 failure-detection path.
 func (t *TCPTransport) Send(msg *Message) {
 	if msg.To < 0 || int(msg.To) >= t.graph.Len() {
 		panic(fmt.Sprintf("p2p: send to out-of-range node %d", msg.To))
@@ -1316,6 +1317,9 @@ func (t *TCPTransport) Send(msg *Message) {
 		msg.ID = id
 	}
 	size, framed := frameSize(msg)
+	if !framed {
+		size = BaseMessageBytes
+	}
 
 	if t.IsLocal(msg.To) {
 		if framed {
@@ -1335,10 +1339,6 @@ func (t *TCPTransport) Send(msg *Message) {
 			t.ws.LocalBytes += size
 			t.wireMu.Unlock()
 		} else {
-			size = int64(BaseMessageBytes)
-			if s, ok := msg.Payload.(Sizer); ok {
-				size += int64(s.WireSize())
-			}
 			t.chargeFrameless(1, size)
 		}
 		g, ok := t.eng.beginSend(msg.To)
@@ -1353,10 +1353,6 @@ func (t *TCPTransport) Send(msg *Message) {
 	addr := t.hostOf[msg.To]
 	g := t.chargeGroupOf(msg)
 	if !framed {
-		size = int64(BaseMessageBytes)
-		if s, ok := msg.Payload.(Sizer); ok {
-			size += int64(s.WireSize())
-		}
 		t.eng.chargeMessage(g, msg.Type, size)
 		t.chargeFrameless(1, size)
 		t.dropToSender(msg)

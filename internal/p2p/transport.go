@@ -89,7 +89,7 @@ type Transport interface {
 	// Bytes exposes the per-type traffic volume counters (same snapshot
 	// contract as Counter). A message whose payload is serializable — nil,
 	// or carrying a registered wire codec — is charged its real encoded
-	// frame length; the Sizer estimate is the fallback.
+	// frame length; anything else costs BaseMessageBytes.
 	Bytes() *stats.Counter
 
 	// Exec runs fn serialized with message handlers and returns when fn
@@ -249,7 +249,8 @@ func frameOf(msg *Message, hasPayload bool) wire.Frame {
 // serializable: messages without a payload frame directly, and payloads
 // whose message type has a registered wire codec are encoded through it.
 // It reports false for payloads the codec registry cannot serialize — the
-// caller falls back to shared-memory delivery and Sizer accounting.
+// caller falls back to shared-memory delivery and BaseMessageBytes
+// accounting.
 func encodeFrame(msg *Message) ([]byte, bool) {
 	e := wire.GetEnc()
 	defer e.Release()
@@ -369,20 +370,15 @@ func decodeFrameWith(b []byte, parse func([]byte) (*wire.Frame, error)) (*Messag
 
 // messageWireSize returns the byte size a transport charges for msg: the
 // real encoded frame length when the payload is serializable (making the
-// paper's cost figures byte-accurate and identical across transports), the
-// BaseMessageBytes + Sizer estimate otherwise. The measurement runs the
-// codec against a counting Enc — one allocation-free tree walk for
-// data-level payloads, the same asymptotics as the old Sizer's NodeCount()
-// walk; protocol-level payloads cost a few header bytes to count.
+// paper's cost figures byte-accurate and identical across transports),
+// BaseMessageBytes otherwise. The measurement runs the codec against a
+// counting Enc — one allocation-free tree walk for data-level payloads;
+// protocol-level payloads cost a few header bytes to count.
 func messageWireSize(msg *Message) int64 {
 	if size, ok := frameSize(msg); ok {
 		return size
 	}
-	size := BaseMessageBytes
-	if s, ok := msg.Payload.(Sizer); ok {
-		size += s.WireSize()
-	}
-	return int64(size)
+	return BaseMessageBytes
 }
 
 // linkView is the minimal overlay view the shared walk and flood

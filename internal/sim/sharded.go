@@ -29,12 +29,10 @@ import (
 //     latency-close neighbors are quiet strides far past the static
 //     lookahead with zero rollback machinery.
 //
-// Speculate layers optimistic overrun on either mode: a region that
-// exhausts its committed window keeps executing while it can prove, from
-// the other regions' live frontier promises and its own staged-arrival
-// minimum, that no cross-region event can land below its clock; with a
-// RegionState client it may run even past that proof into a journal that
-// a straggler discards and replays (see spec.go).
+// Speculate layers overrun on either mode: a region that exhausts its
+// committed window keeps executing while it can prove, from the other
+// regions' live frontier promises and its own staged-arrival minimum,
+// that no cross-region event can land below its clock (see spec.go).
 //
 // Cross-region handoff: Schedule routes same-region events straight onto
 // the owner's heap (only the owning worker, or the idle driver, touches
@@ -53,14 +51,11 @@ type Sharded struct {
 	outBound []Time
 	inBound  []Time
 	mode     WindowMode
-	// spec/specState/specHorizon configure overrun (see Speculate).
-	spec        bool
-	specState   RegionState
-	specHorizon Time
-	started     bool
-	running     bool // inside run(): staging comes from worker context
-	staged      atomic.Int64
-	runs        []regionRun
+	spec     bool // overrun enabled (see Speculate)
+	started  bool
+	running  bool // inside run(): staging comes from worker context
+	staged   atomic.Int64
+	runs     []regionRun
 	// Coordinator scratch, reused across windows: the barrier allocates
 	// nothing in steady state (BenchmarkWindowBarrier gates allocs at 0).
 	eot      []Time
@@ -90,10 +85,9 @@ func (d *stagedSorter) Swap(i, j int) {
 	d.entries[i], d.entries[j] = d.entries[j], d.entries[i]
 }
 
-// regionRun is one region's worker channel plus speculation state. The
-// frontier and specCommitted fields are written by the owning worker
-// (coordinator between windows); journal bookkeeping is worker-written
-// during a window and coordinator-consumed at the barrier.
+// regionRun is one region's worker channel plus overrun state. The
+// frontier, echo and specCommitted fields are written by the owning
+// worker during a window (coordinator between windows).
 type regionRun struct {
 	// frontier is the region's earliest-output promise as float64 bits:
 	// nothing it emits from here on arrives anywhere below this time.
@@ -101,35 +95,20 @@ type regionRun struct {
 	// echo is the region's self-echo cap as float64 bits (+Inf when it
 	// staged nothing this window): the minimum over its own in-window
 	// cross-region sends of arrival + outBound(target) — the earliest a
-	// cascade of its own output can re-enter any region. Both overrun
-	// tiers stop below it: the frontier/inbox proof covers everyone
-	// else's output, but a region's own sends land in inboxes it has
-	// already read, so a stale bound would let it outrun its own echo
-	// (the optimistic tier cannot rely on barrier validation either —
-	// the echo of a journal committed this window only materializes a
-	// window later, after the straggler check has passed).
+	// cascade of its own output can re-enter any region. Overrun stops
+	// below it: the frontier/inbox proof covers everyone else's output,
+	// but a region's own sends land in inboxes it has already read, so a
+	// stale bound would let it outrun its own echo.
 	echo atomic.Uint64
 	work chan Time
-	// committedEnd/specMax bound this window's committed run and
-	// optimistic overrun; specCommitted counts frontier-proven events.
-	committedEnd  Time
-	specMax       Time
+	// specCommitted counts frontier-proven events run past the window.
 	specCommitted uint64
-	// specActive marks optimistic (journaled) execution; the journal
-	// holds popped-but-unvalidated events in execution order.
-	specActive bool
-	journal    []*event
-	snapSeq    uint64
-	snapID     uint64
-	snapEvents uint64
-	snapNow    Time
 }
 
 // stagedEvent is one cross-region handoff awaiting the window barrier.
 type stagedEvent struct {
 	at    Time
 	src   int32 // sending region: part of the deterministic drain order
-	spec  bool  // staged by journaled execution: purged if the sender rolls back
 	inRun bool  // staged from worker context (causality accounting applies)
 	fn    func()
 }
@@ -281,12 +260,7 @@ func (s *Sharded) Schedule(src, dst int, at Time, fn func()) uint64 {
 	}
 	ib := &s.inboxes[rd]
 	ib.mu.Lock()
-	ib.entries = append(ib.entries, stagedEvent{
-		at: at, src: rs,
-		spec:  s.running && s.runs[rs].specActive,
-		inRun: s.running,
-		fn:    fn,
-	})
+	ib.entries = append(ib.entries, stagedEvent{at: at, src: rs, inRun: s.running, fn: fn})
 	if at < Time(math.Float64frombits(ib.minBits.Load())) {
 		ib.minBits.Store(math.Float64bits(float64(at)))
 	}
@@ -369,9 +343,8 @@ func (s *Sharded) minNext() (Time, bool) {
 
 // run is the coordinator loop: drain inboxes, plan the next window from
 // the earliest event time, execute it across the participating regions,
-// validate/commit any speculation, repeat. The window start always
-// snaps to the earliest pending event, so idle stretches cost no empty
-// windows.
+// repeat. The window start always snaps to the earliest pending event, so
+// idle stretches cost no empty windows.
 func (s *Sharded) run(horizon Time) {
 	s.started = true
 	s.running = true
@@ -387,7 +360,6 @@ func (s *Sharded) run(horizon Time) {
 		}
 		s.planWindow(min)
 		s.window()
-		s.validateSpec()
 		s.drainInboxes()
 	}
 	s.stopWorkers()

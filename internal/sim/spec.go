@@ -1,89 +1,41 @@
 package sim
 
 // Speculative overrun: a region that exhausts its committed window keeps
-// executing events past the window end instead of idling at the barrier.
+// executing events past the window end instead of idling at the barrier,
+// as far as it can prove nothing new can still arrive below them.
 //
-// Two tiers, distinguished by what they can prove:
+// While executing its window, every region publishes a monotone frontier
+// promise BEFORE each event: "nothing I emit from here on arrives
+// anywhere below frontier" (event time + my cheapest outgoing link). A
+// region past its window end computes
 //
-//  1. Frontier-proven ("safe") overrun — always on under Speculate. While
-//     executing its window, every region publishes a monotone frontier
-//     promise BEFORE each event: "nothing I emit from here on arrives
-//     anywhere below frontier" (event time + my cheapest outgoing link).
-//     A region past its window end computes
+//	bound = min( other regions' live frontiers,
+//	             its own inbox's minimum staged arrival,
+//	             the run limit )
 //
-//         bound = min( other regions' live frontiers,
-//                      its own inbox's minimum staged arrival,
-//                      the run limit )
+// and commits any event strictly below bound exactly as a later
+// conservative window would have — provably identical outcome, no
+// journal, no rollback, deterministic by construction. The memory order
+// makes this sound: a frontier store is sequenced after the sends of
+// every earlier event, and the reader loads the frontiers before its
+// inbox minimum, so any send it cannot see arrives at or above the
+// frontier it read. One arrival class escapes that proof — the cascade
+// of the region's OWN in-window output, which lands in inboxes it has
+// already read — so each region also maintains a self-echo cap
+// (regionRun.echo) and never runs past it.
 //
-//     and commits any event strictly below bound exactly as a later
-//     conservative window would have — provably identical outcome, no
-//     journal, no rollback, deterministic by construction. The memory
-//     order makes this sound: a frontier store is sequenced after the
-//     sends of every earlier event, and the reader loads the frontiers
-//     before its inbox minimum, so any send it cannot see arrives at or
-//     above the frontier it read. One arrival class escapes that proof —
-//     the cascade of the region's OWN in-window output, which lands in
-//     inboxes it has already read — so each region also maintains a
-//     self-echo cap (regionRun.echo) and never runs past it, in either
-//     tier.
-//
-//  2. Optimistic (journaled) overrun — only when SpecOptions.State is
-//     non-nil, because protocol state outside the kernel must be
-//     snapshot/restorable to survive a rollback. Past the provable
-//     bound the region freezes its frontier promise at bound + outBound,
-//     snapshots its counters, and keeps executing with every pop
-//     journaled (event structs kept intact) and every event id it
-//     schedules recorded. At the barrier the coordinator validates to a
-//     fixpoint: a region whose inbox holds an arrival below its
-//     speculative clock discards the journal — cancel recorded ids,
-//     re-push journaled pops with their original (time, seq, id), drop
-//     spec-born events (replay recreates them bit-identically because
-//     seq/nextID are restored), purge the region's speculatively staged
-//     sends from every inbox — and replays from the committed snapshot
-//     in later windows. Rollback is discard-and-rerun, never
-//     anti-messages. The frozen promise survives rollback: every
-//     journaled or replayed event executes at or above the entry bound,
-//     so nothing the replay emits lands below what other regions read.
-//
-// Which regions roll back depends on wall-clock interleaving (frontier
-// reads race with execution), but the committed event sequence — and so
-// every simulation output — is identical across runs and identical to
-// the sequential engine; only Stats may vary.
+// How far each region overruns depends on wall-clock interleaving
+// (frontier reads race with execution), but the committed event sequence
+// — and so every simulation output — is identical across runs and
+// identical to the sequential engine; only Stats may vary.
 
 import "math"
-
-// RegionState lets a client participate in optimistic rollback: the
-// kernel restores its own heap/clock/counters, and the client must do
-// the same for any state its event callbacks mutate. Snapshot(r) is
-// called from region r's worker when it enters optimistic execution;
-// Commit/Rollback are called from the coordinator at the barrier.
-// Without such a client (SpecOptions.State == nil) the kernel only
-// performs frontier-proven overrun, which never needs to undo anything.
-type RegionState interface {
-	Snapshot(region int)
-	Commit(region int)
-	Rollback(region int)
-}
-
-// SpecOptions configures speculative overrun.
-type SpecOptions struct {
-	// Horizon caps how far past its committed window end a region may
-	// run optimistically (0 = to the run limit). Frontier-proven
-	// commits are not capped: they are indistinguishable from
-	// conservative execution.
-	Horizon Time
-	// State handles protocol-state snapshot/rollback for optimistic
-	// execution; nil restricts overrun to the frontier-proven tier.
-	State RegionState
-}
 
 // Speculate enables overrun for subsequent Run/RunUntil calls and wires
 // the per-region frontier publication into the engines. Driver context
 // only.
-func (s *Sharded) Speculate(opts SpecOptions) {
+func (s *Sharded) Speculate() {
 	s.spec = true
-	s.specState = opts.State
-	s.specHorizon = opts.Horizon
 	for r, e := range s.regions {
 		e.frontier = &s.runs[r].frontier
 	}
@@ -133,9 +85,9 @@ func (s *Sharded) overrunBound(r int) Time {
 	return bound
 }
 
-// overrun runs region r past its committed window end: frontier-proven
-// commits first, then (with a RegionState client) journaled optimistic
-// execution up to specMax. Runs on r's worker goroutine.
+// overrun runs region r past its committed window end, committing every
+// event that lies provably below both the overrun bound and the region's
+// self-echo cap. Runs on r's worker goroutine.
 func (s *Sharded) overrun(r int) {
 	rr := &s.runs[r]
 	e := s.regions[r]
@@ -145,163 +97,27 @@ func (s *Sharded) overrun(r int) {
 		if ev == nil {
 			return
 		}
-		// The region's own in-window sends cap both tiers (see
+		// The region's own in-window sends cap the overrun (see
 		// regionRun.echo): the loop's callbacks lower it as they stage,
 		// so it is reloaded every iteration.
 		echo := Time(math.Float64frombits(rr.echo.Load()))
-		if !rr.specActive {
-			eff := bound
-			if echo < eff {
-				eff = echo
-			}
-			if ev.at >= eff {
-				// The other regions keep executing and publishing while
-				// we run: the proof may have strengthened since the last
-				// look (the self-echo cap only ever tightens).
-				if b := s.overrunBound(r); b > bound {
-					bound = b
-					if echo < b {
-						b = echo
-					}
-					if b > eff {
-						continue
-					}
+		eff := min(bound, echo)
+		if ev.at >= eff {
+			// The other regions keep executing and publishing while we
+			// run: the proof may have strengthened since the last look
+			// (the self-echo cap only ever tightens).
+			if b := s.overrunBound(r); b > bound {
+				bound = b
+				if min(b, echo) > eff {
+					continue
 				}
-				if s.specState == nil || ev.at >= rr.specMax {
-					return
-				}
-				// Enter optimistic execution: freeze the frontier promise
-				// at eff+outBound (every journaled or replayed event
-				// executes at >= eff, so the promise survives a
-				// rollback), snapshot the counters, journal from here on.
-				e.publish(eff)
-				rr.specActive = true
-				rr.snapSeq, rr.snapID, rr.snapEvents = e.seq, e.nextID, e.events
-				rr.snapNow = e.now
-				e.journaling = true
-				s.specState.Snapshot(r)
-				continue
 			}
-			// Provably below anything that can still arrive: commit it
-			// exactly as a later conservative window would.
-			e.publish(ev.at)
-			ev = e.popLive()
-			fn := ev.fn
-			e.recycle(ev)
-			fn()
-			rr.specCommitted++
-			continue
-		}
-		if ev.at >= rr.specMax || ev.at >= echo {
 			return
 		}
-		// Optimistic: pop without recycling — the struct (fn intact)
-		// goes to the journal so a rollback can re-push it unchanged.
-		ev = e.popLive()
-		rr.journal = append(rr.journal, ev)
-		ev.fn()
+		// Provably below anything that can still arrive: commit it
+		// exactly as a later conservative window would.
+		e.publish(ev.at)
+		e.Step()
+		rr.specCommitted++
 	}
-}
-
-// validateSpec resolves every region's optimistic journal at the window
-// barrier, before the inbox drain. A region straggled if its inbox holds
-// an arrival strictly below its speculative clock. Rollbacks purge the
-// victim's speculatively staged sends from every inbox, which can clear
-// other regions' stragglers, so validation iterates to a fixpoint before
-// committing the survivors. Coordinator context, workers idle.
-func (s *Sharded) validateSpec() {
-	if s.specState == nil {
-		return
-	}
-	for changed := true; changed; {
-		changed = false
-		for r := range s.runs {
-			if !s.runs[r].specActive {
-				continue
-			}
-			if Time(math.Float64frombits(s.inboxes[r].minBits.Load())) < s.regions[r].now {
-				s.rollbackRegion(r)
-				changed = true
-			}
-		}
-	}
-	for r := range s.runs {
-		if s.runs[r].specActive {
-			s.commitRegion(r)
-		}
-	}
-}
-
-// rollbackRegion discards region r's optimistic journal and restores the
-// committed snapshot so later windows replay it deterministically.
-func (s *Sharded) rollbackRegion(r int) {
-	rr := &s.runs[r]
-	e := s.regions[r]
-	// Cancel everything speculation scheduled. Popped-and-executed
-	// spec-born events are no longer pending, so Cancel no-ops on them;
-	// they are dropped from the journal below instead.
-	for _, id := range e.journalIDs {
-		e.Cancel(id)
-	}
-	e.journalIDs = e.journalIDs[:0]
-	e.journaling = false
-	s.stats.ReplayEvents += uint64(len(rr.journal))
-	for _, ev := range rr.journal {
-		if ev.id > rr.snapID {
-			// Spec-born: replay re-creates it with the same id/seq
-			// because the counters are restored below.
-			e.recycle(ev)
-			continue
-		}
-		ev.off = false
-		e.repush(ev)
-	}
-	rr.journal = rr.journal[:0]
-	e.seq, e.nextID, e.events = rr.snapSeq, rr.snapID, rr.snapEvents
-	e.setNow(rr.snapNow)
-	// Purge r's speculatively staged sends everywhere: the replay will
-	// stage them again.
-	for d := range s.inboxes {
-		ib := &s.inboxes[d]
-		ib.mu.Lock()
-		kept := ib.entries[:0]
-		min := math.Inf(1)
-		for i := range ib.entries {
-			en := ib.entries[i]
-			if en.spec && en.src == int32(r) {
-				s.staged.Add(-1)
-				continue
-			}
-			if float64(en.at) < min {
-				min = float64(en.at)
-			}
-			kept = append(kept, en)
-		}
-		for i := len(kept); i < len(ib.entries); i++ {
-			ib.entries[i].fn = nil
-		}
-		ib.entries = kept
-		ib.minBits.Store(math.Float64bits(min))
-		ib.mu.Unlock()
-	}
-	s.specState.Rollback(r)
-	s.stats.Rollbacks++
-	rr.specActive = false
-}
-
-// commitRegion accepts region r's optimistic journal: no straggler can
-// invalidate it anymore, so the journaled events become permanent and
-// the structs return to the freelist.
-func (s *Sharded) commitRegion(r int) {
-	rr := &s.runs[r]
-	e := s.regions[r]
-	s.stats.SpecCommitted += uint64(len(rr.journal))
-	for _, ev := range rr.journal {
-		e.recycle(ev)
-	}
-	rr.journal = rr.journal[:0]
-	e.journalIDs = e.journalIDs[:0]
-	e.journaling = false
-	s.specState.Commit(r)
-	rr.specActive = false
 }

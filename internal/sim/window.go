@@ -87,15 +87,9 @@ type ShardedStats struct {
 	// least one participating region run past the fixed min+lookahead
 	// bound it would have had under WindowFixed.
 	DynamicExtensions uint64
-	// SpecCommitted is the number of events executed past a region's
-	// committed window end and kept: frontier-proven safe overruns plus
-	// journaled optimistic events that survived barrier validation.
+	// SpecCommitted is the number of frontier-proven events executed
+	// past a region's committed window end.
 	SpecCommitted uint64
-	// Rollbacks counts straggler-triggered discards of a region's
-	// optimistic journal; ReplayEvents is how many journaled events those
-	// discards re-queued for deterministic re-execution.
-	Rollbacks    uint64
-	ReplayEvents uint64
 	// CausalityViolations counts in-run cross-region handoffs that
 	// arrived below their target's committed clock and were clamped to
 	// it. Zero under the pure kernel contract (every send based on the
@@ -194,14 +188,6 @@ func (s *Sharded) planWindow(min Time) {
 			end = fixedEnd
 		}
 		s.ends[r] = end
-		s.runs[r].committedEnd = end
-		if s.spec {
-			sm := limit
-			if s.specHorizon > 0 && end+s.specHorizon < sm {
-				sm = end + s.specHorizon
-			}
-			s.runs[r].specMax = sm
-		}
 	}
 	s.act = s.act[:0]
 	for r, e := range s.regions {
@@ -209,13 +195,9 @@ func (s *Sharded) planWindow(min Time) {
 		if !ok {
 			continue
 		}
-		part := t < s.ends[r]
-		if s.spec && !part && t < s.runs[r].specMax {
-			// No committed work, but the overrun protocol may still make
-			// provably-safe (or journaled) progress past the bound.
-			part = true
-		}
-		if part {
+		// With no committed work, the overrun protocol may still make
+		// provably-safe progress past the bound.
+		if t < s.ends[r] || (s.spec && t < limit) {
 			s.act = append(s.act, r)
 			if s.mode == WindowDynamic && s.ends[r] > fixedEnd {
 				extended = true

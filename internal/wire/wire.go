@@ -7,9 +7,9 @@
 // function, so importing a protocol layer is enough to make its payloads
 // serializable. The transports (internal/p2p) consult the registry in two
 // places: the byte counters charge a message its real encoded frame length
-// whenever its payload is registered (the Sizer estimate remains the
-// fallback), and the TCP transport uses the codecs to put frames on actual
-// sockets. wire deliberately depends on nothing above the standard
+// whenever its payload is registered (an unregistered payload costs a flat
+// base size), and the TCP transport uses the codecs to put frames on
+// actual sockets. wire deliberately depends on nothing above the standard
 // library, so any layer may import it without cycles.
 //
 // Frame layout (after the transport's own length prefix):

@@ -98,8 +98,7 @@ type SimOptions struct {
 	Window string
 	// Speculate lets regions execute past their committed window while a
 	// frontier proof shows no cross-region event can land below their
-	// clock (the kernel's safe overrun tier — no rollbacks, results stay
-	// bit-identical). TransportSim only; a no-op with Regions <= 1.
+	// clock (frontier-proven overrun, so results stay bit-identical). TransportSim only; a no-op with Regions <= 1.
 	Speculate bool
 }
 
